@@ -57,7 +57,7 @@ from vidb.errors import (
 from vidb.presentation.edl import edl_from_query
 from vidb.query.engine import QueryEngine
 from vidb.query.execution import ExecutionOptions
-from vidb.service.metrics import format_snapshot
+from vidb.obs.metrics import format_snapshot
 from vidb.storage.database import VideoDatabase
 from vidb.storage.persistence import load, save
 from vidb.workloads.paper import rope_database
@@ -306,11 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seconds between fleet telemetry scrapes "
                              "(the aggregated per-node /metrics and "
                              "cluster_health views; default 2)")
-    router.add_argument("--trace-sample", type=float, default=0.0,
-                        metavar="RATE",
-                        help="head-sampling rate for requests arriving "
-                             "without a traceparent header (default 0; "
-                             "client-sampled requests are always traced)")
     router.add_argument("--trace-capacity", type=int, default=256,
                         metavar="N",
                         help="flight-recorder ring size (default 256)")
@@ -837,7 +832,7 @@ def _cmd_router(args) -> int:
         primary, replicas, host=args.host, port=args.port,
         probe_interval_s=args.probe_interval, max_lag_lsn=args.max_lag,
         metrics=registry, event_log=event_log,
-        trace_sample=args.trace_sample, trace_capacity=args.trace_capacity,
+        trace_capacity=args.trace_capacity,
         scrape_interval_s=args.scrape_interval)
     with contextlib.ExitStack() as cleanup:
         cleanup.callback(router.close)

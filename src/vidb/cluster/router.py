@@ -1,7 +1,9 @@
 """The cluster's front door: one address, primary + replica fan-out.
 
 :class:`ClusterRouter` speaks the same JSON-lines protocol as
-:class:`~vidb.service.server.VideoServer`, so every existing client —
+:class:`~vidb.service.server.VideoServer` — on both sides it frames
+messages with :mod:`vidb.service.wire`, the same request-size bound and
+error kinds included — so every existing client —
 ``vidb client``, ``vidb top``, :class:`ServiceClient` — can point at
 the router instead of a single server and transparently gain read
 scaling:
@@ -50,13 +52,10 @@ router's own counters, and ``cluster_health`` summarizes the fleet for
 
 from __future__ import annotations
 
-import json
-import socket
-import socketserver
 import threading
 import time
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Dict, List, Optional, Tuple
 
 from vidb.errors import ClusterError, ProtocolError
 from vidb.obs.events import EventLog, get_event_log
@@ -64,46 +63,14 @@ from vidb.obs.fleet import FleetAggregator, render_fleet_exposition
 from vidb.obs.metrics import MetricsRegistry
 from vidb.obs.trace import FlightRecorder, parse_traceparent
 from vidb.obs.tracer import Tracer, current_tracer
+from vidb.service.wire import (Connection, KeepOpen, LineHandler, LineServer,
+                               call_once)
 
 #: Ops the router load-balances across replicas: stateless reads whose
 #: answer depends only on committed data (plus the client's LSN token).
 #: Everything else — writes, per-connection session state, log shipping,
 #: introspection of *the primary* — goes to the primary connection.
 REPLICA_OPS = frozenset({"query", "lint"})
-
-
-class _Backend:
-    """One raw JSON-lines connection to a backend server.
-
-    Deliberately *not* a :class:`ServiceClient`: the router forwards
-    responses verbatim (including errors), so it must not decode error
-    kinds into exceptions or track session tokens of its own.
-    """
-
-    def __init__(self, address: Tuple[str, int], timeout: float):
-        self.address = address
-        self._sock = socket.create_connection(address, timeout=timeout)
-        self._reader = self._sock.makefile("rb")
-
-    def forward(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        self._sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionResetError("backend closed the connection")
-        response = json.loads(line.decode("utf-8"))
-        if not isinstance(response, dict):
-            raise ProtocolError("backend response must be a JSON object")
-        return response
-
-    def close(self) -> None:
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
 
 class ReplicaState:
@@ -126,86 +93,50 @@ class ReplicaState:
                 "last_error": self.last_error}
 
 
-class _RouterHandler(socketserver.StreamRequestHandler):
+class _RouterHandler(LineHandler):
     """One client connection: lazy backend connections, verbatim
     forwarding, replica fallback."""
 
     def setup(self) -> None:
         super().setup()
-        self.router = cast("_RouterServer", self.server).router
-        self._primary: Optional[_Backend] = None
-        self._primary_version = -1
-        self._replica_conns: Dict[Tuple[str, int], _Backend] = {}
+        self.router: ClusterRouter = self.owner
+        self._backends: Dict[Tuple[str, int], Connection] = {}
+        self._version = self.router.primary_version
 
     def finish(self) -> None:
-        if self._primary is not None:
-            self._primary.close()
-        for conn in self._replica_conns.values():
-            conn.close()
+        self.close_backends()
         super().finish()
 
-    def handle(self) -> None:
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            request: Dict[str, Any] = {}
-            try:
-                request = json.loads(line.decode("utf-8"))
-                if not isinstance(request, dict):
-                    raise ProtocolError("request must be a JSON object")
-                response = self.router.route(self, request)
-            except (ValueError, ProtocolError) as error:
-                response = {"ok": False, "error": "protocol",
-                            "message": str(error)}
-            except ClusterError as error:
-                response = {"ok": False, "error": "cluster",
-                            "message": str(error)}
-            try:
-                self.wfile.write(
-                    (json.dumps(response) + "\n").encode("utf-8"))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                break
-            if request.get("op") == "close":
-                break
+    def close_backends(self) -> None:
+        for conn in self._backends.values():
+            conn.close()
+        self._backends.clear()
 
-    # -- backend connections -------------------------------------------------
-    def primary_conn(self) -> _Backend:
+    def dispatch(self, request: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], KeepOpen]:
+        return self.router.route(self, request), request.get("op") != "close"
+
+    # Deliberately raw :class:`Connection` objects, not ServiceClients:
+    # the router forwards replies verbatim (errors included), so it must
+    # not decode error kinds into exceptions or track session tokens.
+    def backend(self, address: Tuple[str, int]) -> Connection:
+        """This client's connection to *address*, opened lazily."""
         version = self.router.primary_version
-        if self._primary is not None and self._primary_version != version:
-            # The router was repointed (failover): this connection's
-            # primary is the old generation — reconnect to the new one.
-            self._primary.close()
-            self._primary = None
-        if self._primary is None:
-            self._primary = _Backend(self.router.primary,
-                                     self.router.request_timeout)
-            self._primary_version = version
-        return self._primary
-
-    def drop_primary(self) -> None:
-        if self._primary is not None:
-            self._primary.close()
-            self._primary = None
-
-    def replica_conn(self, address: Tuple[str, int]) -> _Backend:
-        conn = self._replica_conns.get(address)
+        if version != self._version:
+            # The router was repointed (failover): connections opened
+            # before may reach the old generation — start afresh.
+            self.close_backends()
+            self._version = version
+        conn = self._backends.get(address)
         if conn is None:
-            conn = _Backend(address, self.router.request_timeout)
-            self._replica_conns[address] = conn
+            conn = Connection(address, self.router.request_timeout)
+            self._backends[address] = conn
         return conn
 
-    def drop_replica(self, address: Tuple[str, int]) -> None:
-        conn = self._replica_conns.pop(address, None)
+    def drop(self, address: Tuple[str, int]) -> None:
+        conn = self._backends.pop(address, None)
         if conn is not None:
             conn.close()
-
-
-class _RouterServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    router: "ClusterRouter"
 
 
 class ClusterRouter:
@@ -221,12 +152,11 @@ class ClusterRouter:
                  request_timeout: float = 30.0,
                  metrics: Optional[MetricsRegistry] = None,
                  event_log: Optional[EventLog] = None,
-                 trace_sample: float = 0.0,
                  trace_capacity: int = 256,
                  scrape_interval_s: float = 2.0):
         self.primary = (primary[0], int(primary[1]))
         #: Bumped on :meth:`repoint`; client handlers compare it to know
-        #: their cached primary connection points at a dead generation.
+        #: their cached backend connections predate a failover.
         self.primary_version = 0
         self.request_timeout = request_timeout
         self.connect_timeout = connect_timeout
@@ -245,11 +175,9 @@ class ClusterRouter:
                      "router.primary_errors"):
             self.metrics.counter(name)
         #: Router-side trace segments (see :mod:`vidb.obs.trace`).  The
-        #: router never head-samples on its own — ``trace_sample`` here
-        #: only matters for requests that arrive without any header —
-        #: it mostly honors the sampling decision the client made.
-        self.flight_recorder = FlightRecorder(capacity=trace_capacity,
-                                              sample_rate=trace_sample)
+        #: router never samples on its own: it records a segment only for
+        #: a request whose traceparent header the client marked sampled.
+        self.flight_recorder = FlightRecorder(capacity=trace_capacity)
         #: Federated member telemetry, fed by the scrape loop.
         self.fleet = FleetAggregator()
         self.scrape_interval_s = max(0.25, scrape_interval_s)
@@ -257,9 +185,7 @@ class ClusterRouter:
         self._replicas: List[ReplicaState] = [
             ReplicaState((h, int(p))) for h, p in (replicas or [])]
         self._rr = 0
-        self._server = _RouterServer((host, port), _RouterHandler)
-        self._server.router = self
-        self._thread: Optional[threading.Thread] = None
+        self._server = LineServer((host, port), _RouterHandler, self)
         self._stop = threading.Event()
         self._prober: Optional[threading.Thread] = None
         self._scraper: Optional[threading.Thread] = None
@@ -267,7 +193,7 @@ class ClusterRouter:
     # -- lifecycle -----------------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._server.address
 
     def start(self) -> "ClusterRouter":
         self.probe()  # synchronous first pass: start with a real view
@@ -279,27 +205,18 @@ class ClusterRouter:
                                          name="vidb-router-scrape",
                                          daemon=True)
         self._scraper.start()
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="vidb-router", daemon=True)
-        self._thread.start()
+        self._server.start_background("vidb-router")
         return self
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=0.1)
 
     def close(self) -> None:
         self._stop.set()
-        self._server.shutdown()
-        self._server.server_close()
+        self._server.stop()
         if self._prober is not None:
             self._prober.join(timeout=5)
             self._prober = None
         if self._scraper is not None:
             self._scraper.join(timeout=5)
             self._scraper = None
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
         self.flight_recorder.close()
 
     def __enter__(self) -> "ClusterRouter":
@@ -323,11 +240,8 @@ class ClusterRouter:
         healthy, error = True, None
         applied = lag = None
         try:
-            conn = _Backend(state.address, self.connect_timeout)
-            try:
-                reply = conn.forward({"op": "wal"})
-            finally:
-                conn.close()
+            reply = call_once(state.address, {"op": "wal"},
+                              self.connect_timeout)
             if not reply.get("ok"):
                 healthy, error = False, str(reply.get("message"))
             else:
@@ -461,14 +375,15 @@ class ClusterRouter:
 
     def _route_primary(self, handler: _RouterHandler,
                        request: Dict[str, Any]) -> Dict[str, Any]:
-        host, port = self.primary
+        address = self.primary
+        host, port = address
         with current_tracer().span("router.forward",
                                    backend=f"{host}:{port}",
                                    role="primary") as span:
             try:
-                response = handler.primary_conn().forward(request)
-            except (OSError, ProtocolError, ValueError) as error:
-                handler.drop_primary()
+                response = handler.backend(address).call(request)
+            except (OSError, ProtocolError) as error:
+                handler.drop(address)
                 self.metrics.inc("router.primary_errors")
                 span.annotate(outcome="transport_error")
                 raise ClusterError(
@@ -486,9 +401,9 @@ class ClusterRouter:
             with tracer.span("router.forward", backend=backend,
                              role="replica") as span:
                 try:
-                    response = handler.replica_conn(address).forward(request)
-                except (OSError, ProtocolError, ValueError) as error:
-                    handler.drop_replica(address)
+                    response = handler.backend(address).call(request)
+                except (OSError, ProtocolError) as error:
+                    handler.drop(address)
                     self.mark_down(address, str(error))
                     self.metrics.inc("router.replica_errors")
                     span.annotate(outcome="transport_error")
@@ -534,12 +449,9 @@ class ClusterRouter:
         for role, address in self._members():
             name = f"{address[0]}:{address[1]}"
             try:
-                conn = _Backend(address, self.connect_timeout)
-                try:
-                    reply = conn.forward({"op": "metrics"})
-                finally:
-                    conn.close()
-            except (OSError, ValueError, ProtocolError) as error:
+                reply = call_once(address, {"op": "metrics"},
+                                  self.connect_timeout)
+            except (OSError, ProtocolError) as error:
                 self.fleet.mark_failed(name, role, str(error))
                 continue
             snapshot = reply.get("metrics")
@@ -577,12 +489,8 @@ class ClusterRouter:
         replies = []
         for _role, address in self._members():
             try:
-                conn = _Backend(address, self.connect_timeout)
-                try:
-                    reply = conn.forward(request)
-                finally:
-                    conn.close()
-            except (OSError, ValueError, ProtocolError):
+                reply = call_once(address, request, self.connect_timeout)
+            except (OSError, ProtocolError):
                 continue
             if reply.get("ok"):
                 replies.append(reply)

@@ -8,9 +8,9 @@ Turns the single-caller library into a servable database:
   ``(program fingerprint, normalized query, database epoch)``;
 * :mod:`vidb.service.session` — client sessions with prepared,
   parameterized queries compiled once;
-* :mod:`vidb.service.metrics` — compatibility shim over
-  :mod:`vidb.obs.metrics` (counters, gauges, histograms, labeled
-  families, plain-dict snapshot export);
+* :mod:`vidb.service.wire` — the JSON-lines wire format: framing with
+  a request-size bound, error kinds, the request loop and the client
+  connection, shared by the server, the cluster router and the client;
 * :mod:`vidb.service.server` — a stdlib-only JSON-lines TCP server and
   client (``vidb serve`` / ``vidb client``);
 * :mod:`vidb.service.top` — the ``vidb top`` live terminal view.
@@ -32,7 +32,7 @@ Quickstart::
 
 from vidb.service.cache import CacheKey, ResultCache
 from vidb.service.executor import RWLock, ServiceExecutor
-from vidb.service.metrics import (
+from vidb.obs.metrics import (
     Counter,
     Gauge,
     Histogram,

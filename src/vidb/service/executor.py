@@ -65,7 +65,7 @@ from vidb.query.render import (
     query_fingerprint,
 )
 from vidb.service.cache import ResultCache
-from vidb.service.metrics import MetricsRegistry
+from vidb.obs.metrics import MetricsRegistry
 from vidb.service.session import Session
 from vidb.storage.database import VideoDatabase
 from vidb.stream.hub import StreamHub

@@ -3,6 +3,9 @@
 Wire protocol: one JSON object per ``\\n``-terminated line, UTF-8.
 Requests carry an ``op`` field; responses carry ``ok`` (bool) plus
 op-specific fields, or ``{"ok": false, "error": <kind>, "message": ...}``.
+The framing, the request-size bound, the error kinds and the request
+loop live in :mod:`vidb.service.wire`; this module holds the ops.
+A field of the wrong type is a ``protocol`` error.
 
 Operations::
 
@@ -100,61 +103,37 @@ prepared queries are per-connection state, exactly like prepared
 statements in a SQL server.  Answer values are serialized as strings
 (the same rendering the CLI prints).
 
-:class:`ServiceClient` is the matching blocking client; it re-raises
-server-side error kinds as the corresponding :mod:`vidb.errors` classes
-so ``except ServiceOverloadedError`` works across the wire.
+:class:`ServiceClient` is the matching blocking client, built on
+:class:`~vidb.service.wire.Connection`; it re-raises server-side error
+kinds as the corresponding :mod:`vidb.errors` classes so ``except
+ServiceOverloadedError`` works across the wire.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import socket
-import socketserver
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from vidb.errors import (
     ClusterError,
-    FencedError,
-    ModelError,
     ProtocolError,
-    QueryError,
-    QueryTimeoutError,
-    ReadOnlyError,
     ReplicaLagError,
-    ServiceClosedError,
     ServiceError,
-    ServiceOverloadedError,
-    SessionError,
-    StandingQueryError,
-    VidbError,
 )
 from vidb.analysis.lint import summarize as lint_summary
 from vidb.obs.trace import TraceContext, parse_traceparent, use_context
 from vidb.obs.tracer import Tracer, current_tracer
 from vidb.query.execution import ExecutionOptions
 from vidb.service.executor import ServiceExecutor
-
-#: error kind <-> exception class, shared by server (encode) and client
-#: (decode).  Unknown kinds decode as plain ServiceError.
-ERROR_KINDS = {
-    "overloaded": ServiceOverloadedError,
-    "timeout": QueryTimeoutError,
-    "closed": ServiceClosedError,
-    "standing": StandingQueryError,
-    "session": SessionError,
-    "protocol": ProtocolError,
-    "read_only": ReadOnlyError,
-    "lagging": ReplicaLagError,
-    "fenced": FencedError,
-    "cluster": ClusterError,
-    "service": ServiceError,
-    "query": QueryError,
-    "model": ModelError,
-    "vidb": VidbError,
-}
+from vidb.service.wire import (
+    Connection,
+    KeepOpen,
+    LineHandler,
+    LineServer,
+    reply_error,
+)
 
 #: Side-effect-free ops a client may safely resend after a transient
 #: transport failure (connection reset mid-flight); everything else
@@ -172,15 +151,10 @@ IDEMPOTENT_OPS = frozenset({
 #: op — mutations included, so their commit deltas get stamped.
 _TRACED_OPS = frozenset({"query", "execute"})
 
-
-def _error_kind(error: Exception) -> str:
-    for kind, cls in ERROR_KINDS.items():
-        if type(error) is cls:
-            return kind
-    for kind, cls in ERROR_KINDS.items():
-        if isinstance(error, cls) and cls is not VidbError:
-            return kind
-    return "vidb"
+#: Mutation ops, which ``batch`` also takes as sub-ops, and the reply
+#: field naming what each one made.
+_MUTATIONS = {"insert_entity": "oid", "insert_interval": "oid",
+              "relate": "fact", "declare_relation": "relation"}
 
 
 def _answers_payload(answers, limit: Optional[int]) -> Dict[str, Any]:
@@ -194,94 +168,53 @@ def _answers_payload(answers, limit: Optional[int]) -> Dict[str, Any]:
     }
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One thread per connection; one service session per connection."""
-
-    #: Set by a ``listen`` dispatch: after the ack is written, the
-    #: connection flips to push mode for this subscription.
-    _listen_sub = None
-
-    def handle(self) -> None:
-        service = cast("_ThreadingServer", self.server).service
-        session = service.open_session()
-        requests = service.metrics.counter_family("requests_total",
-                                                  ("op", "outcome"))
-        try:
-            for raw in self.rfile:
-                line = raw.strip()
-                if not line:
-                    continue
-                op_label = "?"
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    if not isinstance(request, dict):
-                        raise ProtocolError("request must be a JSON object")
-                    op_label = str(request.get("op"))
-                    response, keep_open = self._traced_dispatch(
-                        service, session, request)
-                except (ValueError, ProtocolError) as error:
-                    response = {"ok": False, "error": "protocol",
-                                "message": str(error)}
-                    keep_open = True
-                except VidbError as error:
-                    response = {"ok": False, "error": _error_kind(error),
-                                "message": str(error)}
-                    keep_open = True
-                outcome = ("ok" if response.get("ok")
-                           else str(response.get("error", "error")))
-                requests.labels(op=op_label, outcome=outcome).inc()
-                try:
-                    self.wfile.write(
-                        (json.dumps(response) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    break
-                if self._listen_sub is not None:
-                    subscription, self._listen_sub = self._listen_sub, None
-                    self._push_loop(subscription)
-                    break
-                if not keep_open:
-                    break
-        finally:
-            session.close()
-
-    def _push_loop(self, subscription) -> None:
-        """Push mode: stream each notification batch as its own line
-        until the subscription closes or the client goes away.  The
-        connection is dedicated to pushes from here on."""
-        try:
-            while True:
-                batches = subscription.poll(wait_s=0.5)
-                for batch in batches:
-                    line = json.dumps({"push": True, "id": subscription.id,
-                                       **batch})
-                    self.wfile.write((line + "\n").encode("utf-8"))
-                if batches:
-                    self.wfile.flush()
-                elif subscription.closed:
-                    self.wfile.write((json.dumps(
-                        {"push": True, "id": subscription.id,
-                         "closed": True}) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                    return
-        except (BrokenPipeError, ConnectionResetError, OSError):
+def _pushes(subscription) -> Iterator[Dict[str, Any]]:
+    """Push mode: each notification batch as its own message, until the
+    subscription closes (the wire loop stops early when the client
+    goes away)."""
+    while True:
+        batches = subscription.poll(wait_s=0.5)
+        for batch in batches:
+            yield {"push": True, "id": subscription.id, **batch}
+        if not batches and subscription.closed:
+            yield {"push": True, "id": subscription.id, "closed": True}
             return
 
-    def _node(self, service: ServiceExecutor) -> Dict[str, Any]:
+
+class _Handler(LineHandler):
+    """One thread per connection; one service session per connection."""
+
+    def setup(self) -> None:
+        super().setup()
+        self.service: ServiceExecutor = self.owner
+        self.session = self.service.open_session()
+        self._requests = self.service.metrics.counter_family(
+            "requests_total", ("op", "outcome"))
+
+    def finish(self) -> None:
+        self.session.close()
+        super().finish()
+
+    def observe(self, request: Optional[Dict[str, Any]],
+                reply: Dict[str, Any]) -> None:
+        op = "?" if request is None else str(request.get("op"))
+        outcome = "ok" if reply.get("ok") else str(reply.get("error", "error"))
+        self._requests.labels(op=op, outcome=outcome).inc()
+
+    def _node(self) -> Dict[str, Any]:
         """The node identity stamped onto this process's segments."""
-        node = service.node_identity()
+        node = self.service.node_identity()
         address = self.server.server_address[:2]
         node["host"] = str(address[0])
         node["port"] = int(address[1])
         return node
 
-    def _traced_dispatch(self, service: ServiceExecutor, session,
-                         request: Dict[str, Any]
-                         ) -> Tuple[Dict[str, Any], bool]:
+    def dispatch(self, request: Dict[str, Any]
+                 ) -> Tuple[Dict[str, Any], KeepOpen]:
         """Adopt the request's trace context (or head-sample one) around
         :meth:`_dispatch`; see the module docstring for the contract."""
         op = str(request.get("op"))
-        recorder = service.flight_recorder
+        recorder = self.service.flight_recorder
         parent = (parse_traceparent(request.get("trace"))
                   if "trace" in request else None)
         context: Optional[TraceContext] = None
@@ -291,43 +224,36 @@ class _Handler(socketserver.StreamRequestHandler):
             context = TraceContext.new()
         if context is None:
             if op not in _TRACED_OPS:
-                return self._dispatch(service, session, request)
+                return self._dispatch(request)
             # Untraced, but still black-box recorded when it turns out
             # slow or errored (an unsampled parent keeps the trace id).
             started_at = time.time()
             began = time.perf_counter()
+            status, error_text = "ok", None
             try:
-                response, keep_open = self._dispatch(service, session,
-                                                     request)
+                return self._dispatch(request)
             except Exception as error:
-                recorder.record(
-                    parent.child() if parent is not None else None,
-                    node=self._node(service), op=op,
-                    parent_span_id=(parent.span_id if parent is not None
-                                    else None),
-                    status="error", error=str(error), started_at=started_at,
-                    duration_s=time.perf_counter() - began)
+                status, error_text = "error", str(error)
                 raise
-            duration_s = time.perf_counter() - began
-            if recorder.is_slow(duration_s):
-                recorder.record(
-                    parent.child() if parent is not None else None,
-                    node=self._node(service), op=op,
-                    parent_span_id=(parent.span_id if parent is not None
-                                    else None),
-                    started_at=started_at, duration_s=duration_s,
-                    forced=True)
-            return response, keep_open
+            finally:
+                duration_s = time.perf_counter() - began
+                if status == "error" or recorder.is_slow(duration_s):
+                    recorder.record(
+                        parent.child() if parent is not None else None,
+                        node=self._node(), op=op,
+                        parent_span_id=(parent.span_id if parent is not None
+                                        else None),
+                        status=status, error=error_text,
+                        started_at=started_at, duration_s=duration_s)
         tracer = Tracer()
-        node = self._node(service)
+        node = self._node()
         started_at = time.time()
         began = time.perf_counter()
         status, error_text = "ok", None
         try:
             with use_context(context), tracer.activate():
                 with tracer.span(f"server.{op}", op=op):
-                    response, keep_open = self._dispatch(service, session,
-                                                         request)
+                    response, keep_open = self._dispatch(request)
         except Exception as error:
             status, error_text = "error", str(error)
             raise
@@ -341,21 +267,17 @@ class _Handler(socketserver.StreamRequestHandler):
         response.setdefault("trace", context.to_header())
         return response, keep_open
 
-    def _dispatch(self, service: ServiceExecutor, session,
-                  request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+    def _dispatch(self, request: Dict[str, Any]
+                  ) -> Tuple[Dict[str, Any], KeepOpen]:
+        service, session = self.service, self.session
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pong": True}, True
         if op == "info":
-            if service.replica is not None:
-                role = "replica"
-            elif service.durability is not None:
-                role = "primary"
-            else:
-                role = "standalone"
             payload = {"ok": True, "database": service.db.name,
                        "epoch": service.db.epoch,
-                       "role": role, "read_only": service.read_only,
+                       "role": service.node_identity()["role"],
+                       "read_only": service.read_only,
                        "kernel": service.engine.kernel.name,
                        "stats": service.db.stats()}
             lsn = service.applied_lsn()
@@ -366,13 +288,15 @@ class _Handler(socketserver.StreamRequestHandler):
             return payload, True
         if op == "query":
             text = _required(request, "query", str)
+            limit = _field(request, "limit", int)
+            timeout = _field(request, "timeout", _NUMBER)
             profile = bool(request.get("profile"))
             tracer = current_tracer()
             _await_token(service, request)
             report = session.run(
                 text, options=ExecutionOptions(trace=profile
                                                or tracer.enabled),
-                timeout=request.get("timeout"))
+                timeout=timeout)
             if tracer.enabled and report.trace is not None:
                 # Graft the engine's span tree (built on the worker
                 # thread) under this request's wire-level span, so the
@@ -380,7 +304,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 wire_span = tracer.current()
                 if wire_span is not None:
                     wire_span.children.append(report.trace)
-            payload = _answers_payload(report.answers, request.get("limit"))
+            payload = _answers_payload(report.answers, limit)
             payload["ok"] = True
             if profile:
                 payload["stats"] = report.stats.as_dict()
@@ -392,83 +316,43 @@ class _Handler(socketserver.StreamRequestHandler):
             name = _required(request, "name", str)
             prepared = session.prepare(name,
                                        _required(request, "query", str),
-                                       params=request.get("params", ()))
+                                       params=_field(request, "params", list,
+                                                     ()))
             return {"ok": True, "name": name,
                     "variables": list(prepared.variables),
                     "params": list(prepared.params)}, True
         if op == "execute":
             name = _required(request, "name", str)
-            params = request.get("params", {})
-            if not isinstance(params, dict):
-                raise ProtocolError("params must be an object")
+            params = _field(request, "params", dict, {})
+            limit = _field(request, "limit", int)
+            timeout = _field(request, "timeout", _NUMBER)
             _await_token(service, request)
-            answers = session.execute(name, timeout=request.get("timeout"),
-                                      **params)
-            payload = _answers_payload(answers, request.get("limit"))
+            answers = session.execute(name, timeout=timeout, **params)
+            payload = _answers_payload(answers, limit)
             payload["ok"] = True
             return payload, True
-        if op == "insert_entity":
-            oid = _required(request, "oid", str)
-            attributes = request.get("attributes", {})
-            obj = service.new_entity(oid, **attributes)
-            return _write_reply(service, oid=str(obj.oid)), True
-        if op == "insert_interval":
-            oid = _required(request, "oid", str)
-            duration = request.get("duration")
-            pairs = ([tuple(pair) for pair in duration]
-                     if duration is not None else None)
-            obj = service.new_interval(
-                oid, entities=request.get("entities", ()),
-                duration=pairs, **request.get("attributes", {}))
-            return _write_reply(service, oid=str(obj.oid)), True
-        if op == "relate":
-            relation = _required(request, "relation", str)
-            args = request.get("args", [])
-            if not isinstance(args, list):
-                raise ProtocolError("args must be an array")
-            fact = service.relate(relation,
-                                  *[_resolve_arg(service.db, a) for a in args])
-            return _write_reply(service, fact=str(fact)), True
-        if op == "declare_relation":
-            name = _required(request, "name", str)
-            service.mutate(lambda db: db.declare_relation(name))
-            return _write_reply(service, relation=name), True
+        if op in _MUTATIONS:
+            made = service.mutate(_mutation(request))
+            return _write_reply(service, **{_MUTATIONS[op]: made}), True
         if op == "batch":
             ops = _required(request, "ops", list)
+            mutations = [_batch_item(index, sub_op)
+                         for index, sub_op in enumerate(ops)]
 
-            def _apply(db, ops=ops):
-                count = 0
-                for index, sub_op in enumerate(ops):
-                    if not isinstance(sub_op, dict):
-                        raise ProtocolError(
-                            f"batch item {index} must be an object")
-                    _apply_batch_op(db, sub_op, index)
-                    count += 1
-                return count
+            def _apply(db):
+                for mutation in mutations:
+                    mutation(db)
+                return len(mutations)
 
             applied = service.apply_batch(_apply)
             return _write_reply(service, applied=applied), True
         if op == "subscribe":
             text = _required(request, "query", str)
-            filter_ = request.get("filter")
-            if filter_ is not None and not isinstance(filter_, dict):
-                raise ProtocolError("'filter' must be an object")
-            max_queue = request.get("max_queue")
-            if max_queue is not None and not isinstance(max_queue, int):
-                raise ProtocolError("'max_queue' must be an integer")
-            try:
-                subscription = service.subscribe(
-                    text, filter=filter_, max_queue=max_queue,
-                    session_id=session.id,
-                    detached=bool(request.get("detach")))
-            except StandingQueryError as error:
-                # Rejected by subscribe-time streaming-safety analysis:
-                # ship the located diagnostics so the client can point
-                # at the offending rule/query spans.
-                return {"ok": False, "error": "standing",
-                        "message": str(error),
-                        "diagnostics": [d.as_dict()
-                                        for d in error.diagnostics]}, True
+            subscription = service.subscribe(
+                text, filter=_field(request, "filter", dict),
+                max_queue=_field(request, "max_queue", int),
+                session_id=session.id,
+                detached=bool(request.get("detach")))
             session.subscription_ids.append(subscription.id)
             return {"ok": True, "id": subscription.id,
                     "variables": list(subscription.variables),
@@ -485,12 +369,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     "removed": service.unsubscribe(sub_id)}, True
         if op == "poll":
             sub_id = _required(request, "id", str)
-            wait_s = request.get("wait_s")
-            if wait_s is not None and not isinstance(wait_s, (int, float)):
-                raise ProtocolError("'wait_s' must be a number of seconds")
-            max_batches = request.get("max_batches")
-            if max_batches is not None and not isinstance(max_batches, int):
-                raise ProtocolError("'max_batches' must be an integer")
+            wait_s = _field(request, "wait_s", _NUMBER)
+            max_batches = _field(request, "max_batches", int)
             subscription = service.subscription(sub_id)
             batches = subscription.poll(
                 max_batches=max_batches,
@@ -502,11 +382,10 @@ class _Handler(socketserver.StreamRequestHandler):
             return {"ok": True,
                     "subscriptions": service.describe_subscriptions()}, True
         if op == "listen":
-            sub_id = _required(request, "id", str)
-            subscription = service.subscription(sub_id)
-            self._listen_sub = subscription
-            return {"ok": True, "id": subscription.id,
-                    "listening": True}, True
+            # After the ack the connection is dedicated to pushes.
+            subscription = service.subscription(_required(request, "id", str))
+            return ({"ok": True, "id": subscription.id, "listening": True},
+                    _pushes(subscription))
         if op == "lint":
             text = _required(request, "text", str)
             result = service.lint(text)
@@ -517,33 +396,23 @@ class _Handler(socketserver.StreamRequestHandler):
         if op == "metrics":
             return {"ok": True, "metrics": service.snapshot()}, True
         if op == "trace":
-            trace_id = request.get("id")
+            trace_id = _field(request, "id", str)
             if trace_id is not None:
-                if not isinstance(trace_id, str):
-                    raise ProtocolError("'id' must be a trace id string")
                 return {"ok": True, "id": trace_id,
                         "segments":
                             service.flight_recorder.get(trace_id)}, True
             return {"ok": True, "metrics": service.snapshot(),
                     "recent": service.recent_traces(
-                        limit=request.get("limit"))}, True
+                        limit=_field(request, "limit", int))}, True
         if op == "traces":
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
             return {"ok": True,
                     "traces": service.flight_recorder.summaries(
-                        limit if limit is not None else 20)}, True
+                        _field(request, "limit", int, 20))}, True
         if op == "events":
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
-            type_ = request.get("type")
-            if type_ is not None and not isinstance(type_, str):
-                raise ProtocolError("'type' must be a string")
             return {"ok": True,
-                    "events": service.recent_events(limit=limit,
-                                                    type=type_)}, True
+                    "events": service.recent_events(
+                        limit=_field(request, "limit", int),
+                        type=_field(request, "type", str))}, True
         if op == "wal":
             if service.replica is not None:
                 # A serving replica has no shippable WAL of its own; the
@@ -558,13 +427,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ServiceError(
                     "server is not durable (start it with --data-dir "
                     "to enable log shipping)")
-            after = request.get("after", 0)
-            if not isinstance(after, int):
-                raise ProtocolError("'after' must be an integer LSN")
-            limit = request.get("limit")
-            if limit is not None and not isinstance(limit, int):
-                raise ProtocolError("'limit' must be an integer")
-            reply = service.durability.ship(after, limit=limit)
+            reply = service.durability.ship(
+                _field(request, "after", int, 0),
+                limit=_field(request, "limit", int))
             reply["ok"] = True
             return reply, True
         if op == "promote":
@@ -573,10 +438,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ClusterError(
                     "this server is not a promotable replica "
                     "(start it with 'vidb replicate --serve-port')")
-            data_dir = request.get("data_dir")
-            if data_dir is not None and not isinstance(data_dir, str):
-                raise ProtocolError("'data_dir' must be a string path")
-            result = hook(data_dir=data_dir)
+            result = hook(data_dir=_field(request, "data_dir", str))
             reply = dict(result or {})
             reply["ok"] = True
             return reply, True
@@ -594,14 +456,10 @@ def _await_token(service: ServiceExecutor, request: Dict[str, Any]) -> None:
     router, usually — redirects it to the primary instead of returning
     stale data.
     """
-    min_lsn = request.get("min_lsn")
+    min_lsn = _field(request, "min_lsn", int)
     if min_lsn is None:
         return
-    if not isinstance(min_lsn, int):
-        raise ProtocolError("'min_lsn' must be an integer LSN")
-    wait_s = request.get("wait_s")
-    if wait_s is not None and not isinstance(wait_s, (int, float)):
-        raise ProtocolError("'wait_s' must be a number of seconds")
+    wait_s = _field(request, "wait_s", _NUMBER)
     with current_tracer().span("wait_for_lsn", min_lsn=min_lsn) as span:
         reached = service.wait_for_lsn(min_lsn, timeout_s=wait_s)
         span.annotate(applied=service.applied_lsn(), reached=reached)
@@ -622,11 +480,30 @@ def _write_reply(service: ServiceExecutor, **fields: Any) -> Dict[str, Any]:
     return reply
 
 
+_NUMBER = (int, float)
+_KIND_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number",
+               list: "an array", dict: "an object"}
+
+
+def _field(request: Dict[str, Any], name: str, kind, default: Any = None
+           ) -> Any:
+    """``request[name]`` checked against *kind*; *default* when the
+    field is absent or null.  A wrong type is a ``protocol`` error (and
+    ``true`` is not a number)."""
+    value = request.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ProtocolError(f"op {request.get('op')!r}: {name!r} must be "
+                            f"{_KIND_NAMES[kind]}")
+    return value
+
+
 def _required(request: Dict[str, Any], field: str, kind) -> Any:
-    value = request.get(field)
-    if not isinstance(value, kind):
+    value = _field(request, field, kind)
+    if value is None:
         raise ProtocolError(f"op {request.get('op')!r} needs "
-                            f"{kind.__name__} field {field!r}")
+                            f"{_KIND_NAMES[kind]} field {field!r}")
     return value
 
 
@@ -642,46 +519,55 @@ def _resolve_arg(db, value: Any) -> Any:
     return value
 
 
-def _apply_batch_op(db, sub_op: Dict[str, Any], index: int) -> None:
-    """One ``batch`` sub-op against the in-transaction database."""
-    kind = sub_op.get("op")
+def _mutation(request: Dict[str, Any]) -> Callable[[Any], str]:
+    """Check one mutation request (a :data:`_MUTATIONS` op) and return
+    the function that applies it to the database, naming what it made."""
+    kind = request.get("op")
     if kind == "insert_entity":
-        oid = sub_op.get("oid")
-        if not isinstance(oid, str):
-            raise ProtocolError(f"batch item {index}: string 'oid' required")
-        db.new_entity(oid, **sub_op.get("attributes", {}))
-    elif kind == "insert_interval":
-        oid = sub_op.get("oid")
-        if not isinstance(oid, str):
-            raise ProtocolError(f"batch item {index}: string 'oid' required")
-        duration = sub_op.get("duration")
-        pairs = ([tuple(pair) for pair in duration]
-                 if duration is not None else None)
-        db.new_interval(oid, entities=sub_op.get("entities", ()),
-                        duration=pairs, **sub_op.get("attributes", {}))
-    elif kind == "relate":
-        relation = sub_op.get("relation")
-        args = sub_op.get("args")
-        if not isinstance(relation, str) or not isinstance(args, list):
-            raise ProtocolError(
-                f"batch item {index}: 'relation' (string) and 'args' "
-                f"(array) required")
-        db.relate(relation, *[_resolve_arg(db, a) for a in args])
-    elif kind == "declare_relation":
-        name = sub_op.get("name")
-        if not isinstance(name, str):
-            raise ProtocolError(f"batch item {index}: string 'name' required")
-        db.declare_relation(name)
-    else:
-        raise ProtocolError(
-            f"batch item {index}: unknown sub-op {kind!r} (supported: "
-            f"insert_entity, insert_interval, relate, declare_relation)")
+        oid = _required(request, "oid", str)
+        attributes = _field(request, "attributes", dict, {})
+        return lambda db: str(db.new_entity(oid, **attributes).oid)
+    if kind == "insert_interval":
+        oid = _required(request, "oid", str)
+        entities = _field(request, "entities", list, ())
+        attributes = _field(request, "attributes", dict, {})
+        duration = _field(request, "duration", list)
+        if duration is not None:
+            if not all(isinstance(pair, list) and len(pair) == 2
+                       and all(isinstance(end, _NUMBER)
+                               and not isinstance(end, bool)
+                               for end in pair)
+                       for pair in duration):
+                raise ProtocolError(
+                    f"op {kind!r}: 'duration' must be an array of "
+                    f"[start, end] number pairs")
+            duration = [tuple(pair) for pair in duration]
+        return lambda db: str(db.new_interval(
+            oid, entities=entities, duration=duration, **attributes).oid)
+    if kind == "relate":
+        relation = _required(request, "relation", str)
+        args = _field(request, "args", list, [])
+        return lambda db: str(db.relate(
+            relation, *[_resolve_arg(db, a) for a in args]))
+    if kind == "declare_relation":
+        name = _required(request, "name", str)
+
+        def _declare(db) -> str:
+            db.declare_relation(name)
+            return name
+        return _declare
+    raise ProtocolError(
+        f"unknown sub-op {kind!r} (supported: {', '.join(_MUTATIONS)})")
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    service: ServiceExecutor
+def _batch_item(index: int, sub_op: Any) -> Callable[[Any], str]:
+    """One checked ``batch`` sub-op, its errors naming its position."""
+    if not isinstance(sub_op, dict):
+        raise ProtocolError(f"batch item {index} must be an object")
+    try:
+        return _mutation(sub_op)
+    except ProtocolError as error:
+        raise ProtocolError(f"batch item {index}: {error}") from None
 
 
 class VideoServer:
@@ -694,29 +580,21 @@ class VideoServer:
     def __init__(self, service: ServiceExecutor,
                  host: str = "127.0.0.1", port: int = 0):
         self.service = service
-        self._server = _ThreadingServer((host, port), _Handler)
-        self._server.service = service
-        self._thread: Optional[threading.Thread] = None
+        self._server = LineServer((host, port), _Handler, service)
 
     @property
     def address(self) -> Tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._server.address
 
     def serve_forever(self) -> None:
-        self._server.serve_forever(poll_interval=0.1)
+        self._server.serve()
 
     def start_background(self) -> "VideoServer":
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        name="vidb-server", daemon=True)
-        self._thread.start()
+        self._server.start_background("vidb-server")
         return self
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._server.stop()
 
     def __enter__(self) -> "VideoServer":
         return self
@@ -752,8 +630,7 @@ class ServiceClient:
                  trace_context: Optional[TraceContext] = None):
         self._address = (host, port)
         self._timeout = timeout
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("rb")
+        self._conn = Connection(self._address, timeout)
         self._lock = threading.Lock()
         #: Highest WAL LSN any of this client's writes reached — the
         #: read-your-writes token (0 until the first durable write).
@@ -764,21 +641,9 @@ class ServiceClient:
         #: trace id — the client-visible root of the assembled tree.
         self.trace_context = trace_context
 
-    def _reconnect(self) -> None:
-        try:
-            self._reader.close()
-            self._sock.close()
-        except OSError:
-            pass
-        self._sock = socket.create_connection(self._address,
-                                              timeout=self._timeout)
-        self._reader = self._sock.makefile("rb")
-
-    def _roundtrip(self, payload: Dict[str, Any]) -> bytes:
-        """One send + one response line; b"" when the peer closed."""
+    def _call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         with self._lock:
-            self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-            return self._reader.readline()
+            return self._conn.call(payload)
 
     def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         """Send one request, wait for its response; raises on error."""
@@ -787,9 +652,7 @@ class ServiceClient:
         if self.trace_context is not None and "trace" not in payload:
             payload["trace"] = self.trace_context.to_header()
         try:
-            line = self._roundtrip(payload)
-            if not line:
-                raise ConnectionResetError("server closed the connection")
+            response = self._call(payload)
         except (ConnectionResetError, BrokenPipeError):
             if op not in IDEMPOTENT_OPS:
                 raise ProtocolError("server closed the connection") from None
@@ -797,26 +660,15 @@ class ServiceClient:
             # that just restarted.
             time.sleep(random.uniform(0.02, 0.1))
             with self._lock:
-                self._reconnect()
-            line = self._roundtrip(payload)
-            if not line:
+                self._conn.close()
+                self._conn = Connection(self._address, self._timeout)
+            try:
+                response = self._call(payload)
+            except (ConnectionResetError, BrokenPipeError):
                 raise ProtocolError(
                     "server closed the connection (after retry)") from None
-        try:
-            response = json.loads(line.decode("utf-8"))
-        except ValueError as error:
-            raise ProtocolError(f"bad response line: {error}") from None
-        if not isinstance(response, dict):
-            raise ProtocolError("response must be a JSON object")
         if not response.get("ok"):
-            kind = response.get("error", "service")
-            message = response.get("message", "server error")
-            error = ERROR_KINDS.get(kind, ServiceError)(message)
-            if isinstance(error, StandingQueryError):
-                # Re-attach the located diagnostics (as wire dicts) so
-                # callers can render the spans the server pointed at.
-                error.diagnostics = tuple(response.get("diagnostics") or ())
-            raise error
+            raise reply_error(response)
         head = response.get("head_lsn")
         if isinstance(head, int) and head > self.session_lsn:
             self.session_lsn = head
@@ -905,14 +757,8 @@ class ServiceClient:
         self.request("listen", id=sub_id)
         while True:
             with self._lock:
-                line = self._reader.readline()
-            if not line:
-                return
-            try:
-                payload = json.loads(line.decode("utf-8"))
-            except ValueError as error:
-                raise ProtocolError(f"bad push line: {error}") from None
-            if payload.get("closed"):
+                payload = self._conn.read()
+            if payload is None or payload.get("closed"):
                 return
             yield payload
 
@@ -963,13 +809,10 @@ class ServiceClient:
     def close(self) -> None:
         try:
             with self._lock:
-                self._sock.sendall(b'{"op": "close"}\n')
+                self._conn.send({"op": "close"})
         except OSError:
             pass
-        try:
-            self._reader.close()
-        finally:
-            self._sock.close()
+        self._conn.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
